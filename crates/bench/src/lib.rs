@@ -147,27 +147,10 @@ pub fn run_workload(profile: &WorkloadProfile, cfg: &ExperimentConfig) -> Worklo
     }
 }
 
-/// Runs many workloads in parallel (one OS thread per workload, batched
-/// to the available parallelism) and returns the runs in input order.
+/// Runs many workloads in parallel (across the available parallelism)
+/// and returns the runs in input order.
 pub fn run_suite(profiles: &[WorkloadProfile], cfg: &ExperimentConfig) -> Vec<WorkloadRun> {
-    let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let mut results: Vec<Option<WorkloadRun>> = (0..profiles.len()).map(|_| None).collect();
-    crossbeam::thread::scope(|scope| {
-        for (chunk_profiles, chunk_results) in profiles
-            .chunks(threads.max(1))
-            .zip(results.chunks_mut(threads.max(1)))
-        {
-            let handles: Vec<_> = chunk_profiles
-                .iter()
-                .map(|p| scope.spawn(move |_| run_workload(p, cfg)))
-                .collect();
-            for (slot, handle) in chunk_results.iter_mut().zip(handles) {
-                *slot = Some(handle.join().expect("workload thread panicked"));
-            }
-        }
-    })
-    .expect("crossbeam scope");
-    results.into_iter().map(|r| r.expect("filled")).collect()
+    spire_core::parallel::map(profiles, 0, |p| run_workload(p, cfg))
 }
 
 /// Collects the runs' samples into a labeled dataset.

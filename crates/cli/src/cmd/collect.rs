@@ -1,9 +1,17 @@
 //! `spire collect`: sample the workload suite on the simulated core into
 //! a labeled dataset, narrating each run on the diagnostics bus.
+//!
+//! Workloads simulate in parallel (`--threads`, 0 = auto), each on its own
+//! core with its own stream, so the dataset is byte-identical at any
+//! thread count. Each simulation is reported as a `simulate` stage whose
+//! `items_out` is the simulated cycle count.
 
 use std::fmt::Write as _;
+use std::time::Instant;
 
 use serde::Content;
+use spire_core::parallel;
+use spire_core::pipeline::Event as BusEvent;
 use spire_counters::{collect, Dataset, SessionConfig};
 use spire_sim::{Core, Event};
 use spire_workloads::suite;
@@ -35,15 +43,31 @@ pub(crate) fn run(args: &Args) -> CmdResult {
         other => return Err(format!("--set must be train|test|all, got `{other}`").into()),
     };
 
+    let runs = parallel::map(&profiles, runner.ctx.config.train.threads, |p| {
+        let start = Instant::now();
+        let mut core = Core::new(machine.config);
+        let report = collect(&mut core, &mut p.stream(seed), Event::ALL, &session_cfg);
+        (report, start.elapsed().as_secs_f64() * 1e3)
+    });
+
     let mut dataset = Dataset::new();
     let mut log = String::new();
     let mut rows: Vec<Content> = Vec::new();
-    for p in &profiles {
-        let mut core = Core::new(machine.config);
-        let mut stream = p.stream(seed);
-        let report = collect(&mut core, &mut stream, Event::ALL, &session_cfg);
+    for (p, (report, wall_ms)) in profiles.iter().zip(runs) {
+        let cycles = report.total_cycles;
+        let mcycles_per_s = cycles as f64 / wall_ms / 1e3;
+        runner.ctx.emit(BusEvent::StageStarted {
+            stage: "simulate".to_owned(),
+            items_in: None,
+        });
+        runner.ctx.emit(BusEvent::StageFinished {
+            stage: "simulate".to_owned(),
+            wall_ms,
+            items_in: None,
+            items_out: Some(cycles as usize),
+        });
         let line = format!(
-            "{} ({}): {} samples over {} intervals, overhead {:.2}%",
+            "{} ({}): {} samples over {} intervals, overhead {:.2}%, {mcycles_per_s:.2} Mcycles/s",
             p.name,
             p.config,
             report.samples.len(),
@@ -58,6 +82,8 @@ pub(crate) fn run(args: &Args) -> CmdResult {
             ("samples", json::u(report.samples.len())),
             ("intervals", json::u(report.intervals)),
             ("overhead", json::f(report.overhead_fraction())),
+            ("cycles", json::u(cycles as usize)),
+            ("mcycles_per_s", json::f(mcycles_per_s)),
         ]));
         dataset.insert(format!("{} ({})", p.name, p.config), report.samples);
     }

@@ -74,8 +74,10 @@ COMMANDS:
   collect   --out FILE [--cycles X]   sample the full suite into a dataset
             [--set train|test|all] [--seed S] [--interval X] [--slice X]
             [--machine M]             (--machine picks the simulated core
-                                      from the catalog, or a machine JSON
-                                      file; the dataset is tagged with it)
+            [--threads N]             from the catalog, or a machine JSON
+                                      file; the dataset is tagged with it.
+                                      --threads N simulates N workloads at
+                                      once, 0 = auto; output is identical)
   train     --data FILE               train a SPIRE model from a dataset;
             [--out FILE]              --out writes the raw model JSON,
             [--snapshot FILE]         --snapshot writes a versioned,

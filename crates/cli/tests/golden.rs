@@ -3,8 +3,9 @@
 //! dataset, asserting exit-code semantics (0 / 2 / 1) and byte-stable
 //! machine output.
 //!
-//! Volatile content is normalized before comparison: stage wall times
-//! become `0.0` and the per-run temp directory becomes `<DIR>`. To
+//! Volatile content is normalized before comparison: stage wall times and
+//! simulation rates become zero and the per-run temp directory becomes
+//! `<DIR>`. To
 //! regenerate the goldens after an intentional schema change, run with
 //! `SPIRE_UPDATE_GOLDEN=1` and review the diff.
 
@@ -26,27 +27,41 @@ fn exit_code(result: &CmdResult) -> i32 {
     }
 }
 
-/// Zeroes `"wall_ms"` values and replaces `dir` with `<DIR>` so the
+/// Zeroes `"wall_ms"` and `"mcycles_per_s"` values and the rate in
+/// `collect`'s log lines, and replaces `dir` with `<DIR>`, so the
 /// remainder of the envelope must be byte-identical run to run.
 fn normalize(text: &str, dir: &str) -> String {
     let mut out = String::new();
     for line in text.replace(dir, "<DIR>").lines() {
-        if let Some(start) = line.find("\"wall_ms\": ") {
-            let prefix = &line[..start + "\"wall_ms\": ".len()];
-            let trailing = if line.trim_end().ends_with(',') {
-                ","
-            } else {
-                ""
-            };
-            out.push_str(prefix);
-            out.push_str("0.0");
-            out.push_str(trailing);
-        } else {
-            out.push_str(line);
-        }
+        let line = zero_field(line, "wall_ms");
+        let line = zero_field(&line, "mcycles_per_s");
+        out.push_str(&zero_rate_text(&line));
         out.push('\n');
     }
     out
+}
+
+/// Replaces the value on a `"key": value` line with `0.0`.
+fn zero_field(line: &str, key: &str) -> String {
+    let pattern = format!("\"{key}\": ");
+    let Some(start) = line.find(&pattern) else {
+        return line.to_owned();
+    };
+    let trailing = if line.trim_end().ends_with(',') {
+        ","
+    } else {
+        ""
+    };
+    format!("{}0.0{trailing}", &line[..start + pattern.len()])
+}
+
+/// Zeroes the measured rate in a `collect` log line (`…, 2.48 Mcycles/s`).
+fn zero_rate_text(line: &str) -> String {
+    let Some(end) = line.find(" Mcycles/s") else {
+        return line.to_owned();
+    };
+    let start = line[..end].rfind(' ').map_or(0, |i| i + 1);
+    format!("{}0.00{}", &line[..start], &line[end..])
 }
 
 /// Compares `actual` to the committed golden, or rewrites the golden
@@ -88,6 +103,33 @@ fn write_dataset(path: &std::path::Path) {
     let mut ds = Dataset::new();
     ds.insert("wl", set);
     ds.save(path).unwrap();
+}
+
+#[test]
+fn golden_collect_json() {
+    let dir = std::env::temp_dir().join("spire-golden-collect");
+    std::fs::create_dir_all(&dir).unwrap();
+    let out_file = dir.join("data.json");
+    let result = run_str(&[
+        "collect",
+        "--out",
+        out_file.to_str().unwrap(),
+        "--set",
+        "test",
+        "--cycles",
+        "20000",
+        "--interval",
+        "10000",
+        "--slice",
+        "1000",
+        "--threads",
+        "2",
+        "--json",
+    ]);
+    assert_eq!(exit_code(&result), EXIT_OK);
+    let text = normalize(&result.unwrap().text, dir.to_str().unwrap());
+    assert_golden(&text, "collect.golden.json");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -2,11 +2,12 @@
 //!
 //! SPIRE's per-metric work (roofline fits, estimate merges) is
 //! embarrassingly parallel: the paper's setup trains 424 independent
-//! rooflines. [`map`] fans a slice of such jobs across scoped worker
-//! threads and returns results **in input order**, so a parallel run is
-//! bit-identical to a serial one — thread scheduling can reorder
-//! execution but never the output, and each job's floating-point
-//! reductions stay within one thread.
+//! rooflines, and `collect` simulates each workload on its own core.
+//! [`map`] fans a slice of such jobs across scoped worker threads and
+//! returns results **in input order**, so a parallel run is bit-identical
+//! to a serial one — thread scheduling can reorder execution but never
+//! the output, and each job's floating-point reductions stay within one
+//! thread.
 //!
 //! Thread counts follow the convention used by
 //! [`TrainConfig::threads`](crate::ensemble::TrainConfig::threads):
@@ -14,8 +15,9 @@
 //! path (no threads are spawned), and any other value caps the worker
 //! count. The cap is additionally clamped to the number of jobs.
 
-use crossbeam::thread;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Number of hardware threads available to this process, with a fallback
 /// of 1 when the runtime cannot determine it.
@@ -39,9 +41,9 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// fanning the items across at most `threads` scoped worker threads.
 ///
 /// `threads` follows the module convention (`0` = auto, `1` = serial).
-/// Items are partitioned into contiguous chunks, one per worker, so
-/// results land in pre-assigned output slots and the returned vector is
-/// independent of scheduling.
+/// Workers claim the next unclaimed items through a shared index, so jobs
+/// of uneven cost balance across them; each result lands in its item's
+/// output slot, so the returned vector is independent of scheduling.
 ///
 /// # Panics
 ///
@@ -57,29 +59,43 @@ where
         return items.iter().map(f).collect();
     }
 
-    let mut out: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-    let chunk = items.len().div_ceil(threads);
-    thread::scope(|scope| {
-        for (in_chunk, out_chunk) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            let f = &f;
-            scope.spawn(move |_| {
-                for (item, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(f(item));
-                }
-            });
+    // Claims are small blocks, so jobs of uneven cost still balance while
+    // fine-grained jobs do not contend on the index.
+    let block = (items.len() / (threads * 8)).max(1);
+    let next = AtomicUsize::new(0);
+    let out: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let start = next.fetch_add(block, Ordering::Relaxed);
+                    if start >= items.len() {
+                        return;
+                    }
+                    for i in start..(start + block).min(items.len()) {
+                        let result = f(&items[i]);
+                        *out[i].lock().expect("no job panics holding a slot") = Some(result);
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().expect("parallel::map worker panicked");
         }
-    })
-    .expect("parallel::map worker panicked");
+    });
 
     out.into_iter()
-        .map(|slot| slot.expect("every output slot is filled by its worker"))
+        .map(|slot| {
+            slot.into_inner()
+                .expect("no job panics holding a slot")
+                .expect("every item is claimed by exactly one worker")
+        })
         .collect()
 }
 
 /// Like [`map`], but contains panics at the per-item boundary: a job that
-/// panics yields `Err(message)` in its output slot while every other job —
-/// including the rest of the panicking worker's chunk — still runs and the
-/// scoped thread pool joins normally.
+/// panics yields `Err(message)` in its output slot while every other job
+/// still runs and the scoped thread pool joins normally.
 ///
 /// This is the containment layer under fault-isolated training: one
 /// poisoned metric's fit must not tear down the fan-out for the other

@@ -97,6 +97,10 @@ impl Default for FrontendConfig {
     }
 }
 
+/// Largest accepted `BackendConfig::rob_size`: the core sizes its
+/// dependency-tracking ring to the ROB.
+const MAX_ROB_SIZE: u64 = 8192;
+
 /// Back-end widths and buffer sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BackendConfig {
@@ -105,7 +109,7 @@ pub struct BackendConfig {
     pub issue_width: u64,
     /// Retirement width in µops per cycle.
     pub retire_width: u64,
-    /// Reorder-buffer capacity in µops.
+    /// Reorder-buffer capacity in µops (at most 8192).
     pub rob_size: u64,
     /// Reservation-station (scheduler) capacity in µops.
     pub rs_size: u64,
@@ -220,7 +224,15 @@ impl CoreConfig {
         nonzero("frontend.idq_capacity", self.frontend.idq_capacity)?;
         nonzero("backend.issue_width", self.backend.issue_width)?;
         nonzero("backend.retire_width", self.backend.retire_width)?;
-        nonzero("backend.rob_size", self.backend.rob_size)?;
+        if self.backend.rob_size == 0 || self.backend.rob_size > MAX_ROB_SIZE {
+            return Err(InvalidConfigError {
+                field: "backend.rob_size",
+                reason: format!(
+                    "must be within 1..={MAX_ROB_SIZE}, got {}",
+                    self.backend.rob_size
+                ),
+            });
+        }
         nonzero("backend.rs_size", self.backend.rs_size)?;
         nonzero("memory.l1_latency", self.memory.l1_latency)?;
         if self.backend.ports == 0 || self.backend.ports > 16 {
@@ -307,6 +319,15 @@ mod tests {
         let mut c = CoreConfig::default();
         c.backend.rs_size = c.backend.rob_size + 1;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn oversized_rob_is_rejected() {
+        let mut c = CoreConfig::default();
+        c.backend.rob_size = MAX_ROB_SIZE + 1;
+        assert_eq!(c.validate().unwrap_err().field, "backend.rob_size");
+        c.backend.rob_size = MAX_ROB_SIZE;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -14,15 +14,36 @@
 //! `uops_issued.any` — the same signature TMA's bad-speculation formula
 //! keys on.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::config::CoreConfig;
 use crate::events::{CounterFile, Event};
 use crate::instr::{DecodeSource, Instr, InstrClass, MemLevel, VecWidth};
 
-/// Size of the completion ring used for dependency tracking. Must exceed
-/// any realistic ROB size plus dependency distance.
-const COMPLETION_RING: usize = 8192;
+/// "None" for the sequence-number links and cycle fields below.
+const NONE: u64 = u64::MAX;
+
+/// One completion-ring slot: the instruction that last took it, when its
+/// result is ready, and the head of the list of waiting instructions
+/// whose operand it produces (linked through their own slots).
+#[derive(Debug, Clone, Copy)]
+struct RingSlot {
+    seq: u64,
+    /// Completion cycle; [`NONE`] until dispatched.
+    complete: u64,
+    first_dependent: u64,
+    next_dependent: u64,
+}
+
+impl RingSlot {
+    const EMPTY: RingSlot = RingSlot {
+        seq: NONE,
+        complete: NONE,
+        first_dependent: NONE,
+        next_dependent: NONE,
+    };
+}
 
 /// An instruction sitting in the IDQ, tagged with the front-end bubble
 /// length that preceded its delivery (for the `frontend_retired.*` events).
@@ -106,9 +127,21 @@ pub struct Core {
 
     // Back-end state.
     rob: VecDeque<RobEntry>,
+    // The scheduler: every `Waiting` ROB entry is in exactly one of
+    // `ready`, `timers`, or its producer's dependent list in the
+    // completion ring.
+    /// Entries whose operand is available, in sequence order: dispatch
+    /// walks this instead of the whole ROB.
+    ready: Vec<u64>,
+    /// `(cycle its operand is available, seq)` of entries whose producer
+    /// has dispatched; due entries move to `ready` at the next dispatch.
+    timers: BinaryHeap<Reverse<(u64, u64)>>,
+    /// The current cycle's dispatch decisions (ROB index, port, completion
+    /// cycle), kept across cycles to reuse the allocation.
+    decisions: Vec<(usize, usize, u64)>,
     rob_uops: u64,
     rs_uops: u64,
-    completion_ring: Vec<(u64, Option<u64>)>,
+    completion_ring: Vec<RingSlot>,
     divider_busy_until: u64,
     lock_busy_until: u64,
     inflight_loads: Vec<u64>,
@@ -116,6 +149,9 @@ pub struct Core {
     dram_inflight: Vec<u64>,
     /// Drain-completion cycles of stores occupying the store buffer.
     store_buffer: Vec<u64>,
+    /// Earliest entry of the four in-flight trackers above (`u64::MAX`
+    /// when all are empty): nothing expires before it.
+    next_expiry: u64,
     last_vec_width: Option<VecWidth>,
     /// µops of the IDQ-front instruction already allocated in previous
     /// cycles (instructions wider than the issue width allocate over
@@ -127,6 +163,21 @@ pub struct Core {
     retire_partial: u64,
     next_seq: u64,
     retired_instrs: u64,
+    /// The last cycle dispatched nothing and allocated no instruction, so
+    /// the scheduler saw the state it still holds (the skip-ahead
+    /// precondition).
+    quiet: bool,
+}
+
+/// What the allocator did with a cycle's issue slots.
+#[derive(Debug, Clone, Copy)]
+enum IssueSlots {
+    /// Busy restoring state after a misprediction.
+    Recovery,
+    /// Stopped by a full ROB or scheduler after issuing the given µops.
+    Blocked(u64),
+    /// Issued the given µops; the rest went unfilled by the front-end.
+    Issued(u64),
 }
 
 impl Core {
@@ -138,6 +189,10 @@ impl Core {
     /// validate configurations before handing them to the core.
     pub fn new(cfg: CoreConfig) -> Self {
         cfg.validate().expect("core configuration must be valid");
+        // The completion ring is a power of two no smaller than the ROB, so
+        // every instruction in flight holds its own slot; a producer whose
+        // slot was taken since has retired, and its result is ready.
+        let ring_len = (cfg.backend.rob_size as usize).next_power_of_two();
         Core {
             cfg,
             cycle: 0,
@@ -153,20 +208,25 @@ impl Core {
             recovery_until: 0,
             redirect_until: 0,
             rob: VecDeque::new(),
+            ready: Vec::new(),
+            timers: BinaryHeap::new(),
+            decisions: Vec::new(),
             rob_uops: 0,
             rs_uops: 0,
-            completion_ring: vec![(u64::MAX, None); COMPLETION_RING],
+            completion_ring: vec![RingSlot::EMPTY; ring_len],
             divider_busy_until: 0,
             lock_busy_until: 0,
             inflight_loads: Vec::new(),
             outstanding_misses: Vec::new(),
             dram_inflight: Vec::new(),
             store_buffer: Vec::new(),
+            next_expiry: u64::MAX,
             last_vec_width: None,
             alloc_partial: 0,
             retire_partial: 0,
             next_seq: 0,
             retired_instrs: 0,
+            quiet: false,
         }
     }
 
@@ -193,10 +253,16 @@ impl Core {
     /// Returns `true` if all in-flight work has drained and the last
     /// supplied stream was exhausted.
     pub fn is_drained(&self) -> bool {
-        self.stream_exhausted
-            && self.rob.is_empty()
-            && self.idq.is_empty()
-            && self.pending_fetch.is_none()
+        self.stream_exhausted && !self.machine_busy()
+    }
+
+    /// Whether any instruction is in flight anywhere in the pipeline.
+    ///
+    /// "Busy" must be a pure function of pipeline state (not of the
+    /// stream-exhausted flag, which resets per `run` call) so that slicing
+    /// a run into pieces cannot change any counter.
+    fn machine_busy(&self) -> bool {
+        !self.rob.is_empty() || !self.idq.is_empty() || self.pending_fetch.is_some()
     }
 
     /// Runs the core on `stream` for at most `max_cycles` cycles, stopping
@@ -221,9 +287,13 @@ impl Core {
                 self.stream_exhausted = false;
             }
         }
-        for _ in 0..max_cycles {
-            if self.is_drained() {
-                break;
+        let end = start_cycle.saturating_add(max_cycles);
+        while self.cycle < end && !self.is_drained() {
+            if self.quiet {
+                self.skip_idle(end);
+                if self.cycle == end {
+                    break;
+                }
             }
             self.step(stream);
         }
@@ -240,12 +310,8 @@ impl Core {
     {
         let now = self.cycle;
         self.expire_inflight(now);
-
-        // "Busy" must be a pure function of pipeline state (not of the
-        // stream-exhausted flag, which resets per `run` call) so that
-        // slicing a run into pieces cannot change any counter.
-        let machine_busy =
-            !self.rob.is_empty() || !self.idq.is_empty() || self.pending_fetch.is_some();
+        let machine_busy = self.machine_busy();
+        let next_seq = self.next_seq;
 
         let retired_uops = self.retire(now);
         let (executed_uops, ports_used) = self.dispatch(now);
@@ -259,18 +325,84 @@ impl Core {
             executed_uops,
             ports_used,
             issued_uops,
+            1,
         );
 
         self.counters.incr(Event::CpuClkUnhaltedThread);
         self.cycle += 1;
+        self.quiet = self.decisions.is_empty() && self.next_seq == next_seq;
+    }
+
+    /// Advances the clock over the cycles from now on that are provably
+    /// idle — nothing retires, dispatches, allocates or is delivered, and
+    /// no state changes beyond the per-cycle counters — stopping at the
+    /// next event or at `end`, whichever comes first. The skipped cycles'
+    /// counters are bulk-added, so the result is identical to stepping.
+    ///
+    /// Requires `self.quiet`: the last cycle dispatched nothing, so the
+    /// scheduler can only wake on one of the events below.
+    fn skip_idle(&mut self, end: u64) {
+        let now = self.cycle;
+        let Some(slots) = self.idle_issue(now) else {
+            return;
+        };
+        if !self.fetch_idle(now) {
+            return;
+        }
+        // Every cycle at which some stage's behavior may change: the ROB
+        // head completes (retire), a waiting instruction's producer
+        // completes (dependency), a tracker entry expires (MSHR, DRAM
+        // queue and store-buffer occupancy), the divider or lock frees,
+        // the recovery window opens or closes, or fetch unstalls.
+        let mut until = end.min(self.next_expiry);
+        let mut event = |at: u64| {
+            if at >= now {
+                until = until.min(at);
+            }
+        };
+        match self.rob.front().map(|head| head.state) {
+            Some(RobState::Executing(done_at)) if done_at <= now => return,
+            Some(RobState::Executing(done_at)) => event(done_at),
+            _ => {}
+        }
+        event(self.divider_busy_until);
+        event(self.lock_busy_until);
+        event(self.recovery_start);
+        event(self.recovery_until);
+        event(self.fetch_stall_until.max(self.redirect_until));
+        if let Some(&Reverse((ready_at, _))) = self.timers.peek() {
+            event(ready_at);
+        }
+        if until <= now {
+            return;
+        }
+
+        let n = until - now;
+        let machine_busy = self.machine_busy();
+        self.count_issue_slots(slots, n);
+        self.count_cycle_activity(now, machine_busy, 0, 0, 0, 0, n);
+        self.counters.add(Event::CpuClkUnhaltedThread, n);
+        self.fetch_bubble_len += n;
+        self.cycle = until;
     }
 
     /// Removes completed entries from the in-flight load trackers.
     fn expire_inflight(&mut self, now: u64) {
+        if now < self.next_expiry {
+            return;
+        }
         self.inflight_loads.retain(|&c| c > now);
         self.outstanding_misses.retain(|&c| c > now);
         self.dram_inflight.retain(|&c| c > now);
         self.store_buffer.retain(|&c| c > now);
+        // Every miss and DRAM entry is also an in-flight load entry.
+        self.next_expiry = self
+            .inflight_loads
+            .iter()
+            .chain(&self.store_buffer)
+            .copied()
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     /// Retires completed instructions in order; returns retired µops.
@@ -354,46 +486,58 @@ impl Core {
         }
     }
 
-    /// Dispatches ready scheduler entries to execution ports; returns
-    /// `(executed µops, distinct ports used)`.
+    /// Dispatches ready scheduler entries to execution ports, oldest
+    /// first; returns `(executed µops, distinct ports used)`.
     fn dispatch(&mut self, now: u64) -> (u64, usize) {
         let ports = self.cfg.backend.ports;
-        let mut port_busy = vec![false; ports];
+        let mut port_busy = 0u32;
         let mut executed_uops = 0u64;
         let mut dispatch_budget = ports as u64;
+        self.decisions.clear();
+        let head_seq = self.rob.front().map_or(0, |head| head.seq);
 
-        // Collect dispatch decisions first to appease the borrow checker:
-        // (rob index, port, completion cycle).
-        let mut decisions: Vec<(usize, usize, u64)> = Vec::new();
-        let mut mispredict_completions: Vec<u64> = Vec::new();
-
-        for idx in 0..self.rob.len() {
-            if dispatch_budget == 0 {
+        // Operands that became available join the ready list.
+        while let Some(&Reverse((ready_at, seq))) = self.timers.peek() {
+            if ready_at > now {
                 break;
             }
+            self.timers.pop();
+            let pos = self.ready.partition_point(|&s| s < seq);
+            self.ready.insert(pos, seq);
+        }
+
+        // Walk the ready list in sequence order, compacting the entries
+        // that stay ready to its front; once the budget is spent the
+        // unvisited tail stays as it is.
+        let mut kept = 0;
+        let mut next = 0;
+        while next < self.ready.len() && dispatch_budget > 0 {
+            let seq = self.ready[next];
+            next += 1;
+            let idx = (seq - head_seq) as usize;
             let entry = self.rob[idx];
-            if entry.state != RobState::Waiting {
-                continue;
-            }
             // Instructions wider than the port count consume the whole
             // dispatch budget rather than waiting forever; the µop
             // counters still see the true width.
             let uops = u64::from(entry.instr.uops);
             let budget_cost = uops.min(ports as u64);
-            if budget_cost > dispatch_budget {
-                continue;
-            }
-            if !self.deps_ready(entry.seq, entry.instr.dep_distance, now) {
-                continue;
-            }
-            let Some((port, latency)) = self.try_bind(&entry.instr, &port_busy, now) else {
+            let bound = if budget_cost > dispatch_budget {
+                None
+            } else {
+                self.try_bind(&entry.instr, port_busy, now)
+            };
+            let Some((port, latency)) = bound else {
+                self.ready[kept] = seq;
+                kept += 1;
                 continue;
             };
             let complete_at = now + latency;
-            port_busy[port] = true;
+            port_busy |= 1 << port;
             dispatch_budget -= budget_cost;
             executed_uops += uops;
-            decisions.push((idx, port, complete_at));
+            // Completions are published after the walk, so nothing
+            // dispatched this cycle wakes a dependent in the same cycle.
+            self.decisions.push((idx, port, complete_at));
 
             // Structural reservations.
             match entry.instr.class {
@@ -402,6 +546,7 @@ impl Core {
                 }
                 InstrClass::Load { level, locked } => {
                     self.inflight_loads.push(complete_at);
+                    self.next_expiry = self.next_expiry.min(complete_at);
                     // Locked loads count as memory-outstanding even on an
                     // L1 hit: their serialization latency is accounted
                     // under memory (L1) bound, as TMA does.
@@ -416,16 +561,21 @@ impl Core {
                     }
                 }
                 InstrClass::Branch { mispredicted: true } => {
-                    mispredict_completions.push(complete_at);
+                    self.schedule_recovery(now, complete_at);
                 }
                 InstrClass::Store => {
                     // The store occupies its buffer entry until it drains
                     // into the L1 after completing.
-                    self.store_buffer
-                        .push(complete_at + self.cfg.memory.l1_latency);
+                    let drained_at = complete_at + self.cfg.memory.l1_latency;
+                    self.store_buffer.push(drained_at);
+                    self.next_expiry = self.next_expiry.min(drained_at);
                 }
                 _ => {}
             }
+        }
+        if kept < next {
+            self.ready.copy_within(next.., kept);
+            self.ready.truncate(self.ready.len() - (next - kept));
         }
 
         let port_events = [
@@ -438,68 +588,92 @@ impl Core {
             Event::UopsDispatchedPort6,
             Event::UopsDispatchedPort7,
         ];
-        for &(idx, port, complete_at) in &decisions {
-            let uops = u64::from(self.rob[idx].instr.uops);
-            self.rob[idx].state = RobState::Executing(complete_at);
+        for k in 0..self.decisions.len() {
+            let (idx, port, complete_at) = self.decisions[k];
+            let entry = &mut self.rob[idx];
+            let uops = u64::from(entry.instr.uops);
+            entry.state = RobState::Executing(complete_at);
             self.rs_uops -= uops;
-            let seq = self.rob[idx].seq;
-            self.completion_ring[(seq as usize) % COMPLETION_RING] = (seq, Some(complete_at));
+            let seq = entry.seq;
+            self.publish_completion(seq, complete_at);
             if port < port_events.len() {
                 self.counters.add(port_events[port], uops);
             }
         }
         self.counters.add(Event::UopsExecutedThread, executed_uops);
-
-        // Branch mispredictions: schedule the front-end redirect and the
-        // allocator recovery window, and charge a small wrong-path issue
-        // waste. The recovery window (not the fetch bubble) carries the
-        // bulk of the misprediction cost so that TMA attributes it to bad
-        // speculation rather than to the front-end; the shorter resteer
-        // tail that remains after recovery shows up as front-end latency,
-        // as it does on real hardware.
-        for complete_at in mispredict_completions {
-            let fe = &self.cfg.frontend;
-            let be = &self.cfg.backend;
-            self.redirect_until = self
-                .redirect_until
-                .max(complete_at + fe.mispredict_redirect_penalty);
-            self.recovery_start = if now >= self.recovery_until {
-                complete_at
-            } else {
-                self.recovery_start
-            };
-            self.recovery_until = self.recovery_until.max(complete_at + be.recovery_penalty);
-            let waste = be.issue_width * 4;
-            self.counters.add(Event::UopsIssuedAny, waste);
-        }
-
-        let ports_used = port_busy.iter().filter(|&&b| b).count();
-        (executed_uops, ports_used)
+        (executed_uops, port_busy.count_ones() as usize)
     }
 
-    /// Checks whether the producing instruction's result is available.
-    fn deps_ready(&self, seq: u64, dep_distance: u32, now: u64) -> bool {
-        if dep_distance == 0 {
-            return true;
+    /// A mispredicted branch completing at `complete_at`: schedules the
+    /// front-end redirect and the allocator recovery window, and charges a
+    /// small wrong-path issue waste. The recovery window (not the fetch
+    /// bubble) carries the bulk of the misprediction cost so that TMA
+    /// attributes it to bad speculation rather than to the front-end; the
+    /// shorter resteer tail that remains after recovery shows up as
+    /// front-end latency, as it does on real hardware.
+    fn schedule_recovery(&mut self, now: u64, complete_at: u64) {
+        let fe = &self.cfg.frontend;
+        let be = &self.cfg.backend;
+        self.redirect_until = self
+            .redirect_until
+            .max(complete_at + fe.mispredict_redirect_penalty);
+        if now >= self.recovery_until {
+            self.recovery_start = complete_at;
         }
-        let Some(producer) = seq.checked_sub(u64::from(dep_distance)) else {
-            return true;
+        self.recovery_until = self.recovery_until.max(complete_at + be.recovery_penalty);
+        self.counters.add(Event::UopsIssuedAny, be.issue_width * 4);
+    }
+
+    fn ring_slot(&mut self, seq: u64) -> &mut RingSlot {
+        let mask = self.completion_ring.len() - 1;
+        &mut self.completion_ring[seq as usize & mask]
+    }
+
+    /// Enters a just-allocated instruction into the completion ring and
+    /// the scheduler. Its operand is ready at once when it has no producer
+    /// or the producer's slot has been taken since (the producer retired),
+    /// at the producer's completion when that has dispatched, and
+    /// otherwise it joins the producer's dependent list until the producer
+    /// dispatches.
+    fn enter_scheduler(&mut self, seq: u64, dep_distance: u32) {
+        *self.ring_slot(seq) = RingSlot {
+            seq,
+            ..RingSlot::EMPTY
         };
-        let (tag, complete) = self.completion_ring[(producer as usize) % COMPLETION_RING];
-        if tag != producer {
-            // Evicted from the ring: long retired.
-            return true;
+        // Every entry already in the scheduler is older, so a push keeps
+        // `ready` in sequence order.
+        let producer = match seq.checked_sub(u64::from(dep_distance)) {
+            Some(producer) if dep_distance > 0 => producer,
+            _ => return self.ready.push(seq),
+        };
+        let slot = *self.ring_slot(producer);
+        if slot.seq != producer {
+            self.ready.push(seq);
+        } else if slot.complete == NONE {
+            self.ring_slot(seq).next_dependent = slot.first_dependent;
+            self.ring_slot(producer).first_dependent = seq;
+        } else {
+            self.timers.push(Reverse((slot.complete, seq)));
         }
-        match complete {
-            Some(c) => c <= now,
-            None => false,
+    }
+
+    /// Records `seq`'s completion cycle and wakes its dependents: from the
+    /// next cycle on, their operand is ready at `complete_at`.
+    fn publish_completion(&mut self, seq: u64, complete_at: u64) {
+        let slot = self.ring_slot(seq);
+        slot.complete = complete_at;
+        let mut dependent = std::mem::replace(&mut slot.first_dependent, NONE);
+        while dependent != NONE {
+            self.timers.push(Reverse((complete_at, dependent)));
+            dependent = self.ring_slot(dependent).next_dependent;
         }
     }
 
     /// Tries to bind an instruction to a free, structurally available
-    /// port; returns `(port, latency)` on success.
-    fn try_bind(&self, instr: &Instr, port_busy: &[bool], now: u64) -> Option<(usize, u64)> {
-        let ports = port_busy.len();
+    /// port; returns `(port, latency)` on success. `port_busy` has bit `p`
+    /// set when port `p` is taken this cycle.
+    fn try_bind(&self, instr: &Instr, port_busy: u32, now: u64) -> Option<(usize, u64)> {
+        let ports = self.cfg.backend.ports;
         let mem = &self.cfg.memory;
         let be = &self.cfg.backend;
         let (candidates, latency): (&[usize], u64) = match instr.class {
@@ -557,18 +731,15 @@ impl Core {
         candidates
             .iter()
             .map(|&p| p % ports)
-            .find(|&p| !port_busy[p])
+            .find(|&p| port_busy & (1 << p) == 0)
             .map(|p| (p, latency))
     }
 
     /// Allocates µops from the IDQ into the ROB/scheduler; returns issued
     /// µops.
     fn allocate(&mut self, now: u64) -> u64 {
-        // During a recovery window the allocator is busy restoring state;
-        // nothing allocates and the cycles are charged to bad speculation.
-        if now >= self.recovery_start && now < self.recovery_until {
-            self.counters.incr(Event::IntMiscRecoveryCycles);
-            self.counters.incr(Event::IntMiscRecoveryCyclesAny);
+        if self.in_recovery(now) {
+            self.count_issue_slots(IssueSlots::Recovery, 1);
             return 0;
         }
 
@@ -581,11 +752,7 @@ impl Core {
                 break;
             };
             let uops = u64::from(front.instr.uops);
-            // Resources for the whole instruction are reserved when its
-            // allocation starts (alloc_partial == 0).
-            if self.alloc_partial == 0
-                && (self.rob_uops + uops > be.rob_size || self.rs_uops + uops > be.rs_size)
-            {
+            if self.backend_full(uops) {
                 backend_blocked = true;
                 break;
             }
@@ -625,7 +792,6 @@ impl Core {
 
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.completion_ring[(seq as usize) % COMPLETION_RING] = (seq, None);
             self.rob.push_back(RobEntry {
                 seq,
                 instr: q.instr,
@@ -633,30 +799,105 @@ impl Core {
                 fe_bubble: q.fe_bubble,
                 dsb_miss: q.dsb_miss,
             });
+            self.enter_scheduler(seq, q.instr.dep_distance);
         }
-        self.counters.add(Event::UopsIssuedAny, issued);
-
-        let machine_busy =
-            !self.rob.is_empty() || !self.idq.is_empty() || self.pending_fetch.is_some();
-        if backend_blocked {
-            self.counters.incr(Event::ResourceStallsAny);
-            self.counters.incr(Event::IdqUopsNotDeliveredCyclesFeWasOk);
-        } else if machine_busy {
-            // Slots the front-end failed to fill while the back-end could
-            // have accepted them.
-            let unfilled = be.issue_width - issued;
-            self.counters.add(Event::IdqUopsNotDeliveredCore, unfilled);
-            if issued <= 1 {
-                self.counters.incr(Event::IdqUopsNotDeliveredCyclesLe1);
-            }
-            if issued <= 2 {
-                self.counters.incr(Event::IdqUopsNotDeliveredCyclesLe2);
-            }
-            if issued <= 3 {
-                self.counters.incr(Event::IdqUopsNotDeliveredCyclesLe3);
-            }
-        }
+        let slots = if backend_blocked {
+            IssueSlots::Blocked(issued)
+        } else {
+            IssueSlots::Issued(issued)
+        };
+        self.count_issue_slots(slots, 1);
         issued
+    }
+
+    /// During a recovery window the allocator is busy restoring state;
+    /// nothing allocates and the cycles are charged to bad speculation.
+    fn in_recovery(&self, now: u64) -> bool {
+        now >= self.recovery_start && now < self.recovery_until
+    }
+
+    /// Whether the ROB or scheduler lacks room for the IDQ-front
+    /// instruction of `uops` µops. Resources for the whole instruction are
+    /// reserved when its allocation starts (`alloc_partial == 0`), so a
+    /// partly allocated instruction is never blocked.
+    fn backend_full(&self, uops: u64) -> bool {
+        let be = &self.cfg.backend;
+        self.alloc_partial == 0
+            && (self.rob_uops + uops > be.rob_size || self.rs_uops + uops > be.rs_size)
+    }
+
+    /// How the allocator spends cycle `now` if it would allocate nothing
+    /// then; `None` if it would allocate.
+    fn idle_issue(&self, now: u64) -> Option<IssueSlots> {
+        if self.in_recovery(now) {
+            return Some(IssueSlots::Recovery);
+        }
+        match self.idq.front() {
+            None => Some(IssueSlots::Issued(0)),
+            Some(front) if self.backend_full(u64::from(front.instr.uops)) => {
+                Some(IssueSlots::Blocked(0))
+            }
+            Some(_) => None,
+        }
+    }
+
+    /// Issue-slot counters of `n` cycles that each spent their slots as
+    /// `slots` says.
+    fn count_issue_slots(&mut self, slots: IssueSlots, n: u64) {
+        let issue_width = self.cfg.backend.issue_width;
+        let machine_busy = self.machine_busy();
+        let c = &mut self.counters;
+        match slots {
+            IssueSlots::Recovery => {
+                c.add(Event::IntMiscRecoveryCycles, n);
+                c.add(Event::IntMiscRecoveryCyclesAny, n);
+            }
+            IssueSlots::Blocked(issued) => {
+                c.add(Event::UopsIssuedAny, issued * n);
+                c.add(Event::ResourceStallsAny, n);
+                c.add(Event::IdqUopsNotDeliveredCyclesFeWasOk, n);
+            }
+            IssueSlots::Issued(issued) => {
+                c.add(Event::UopsIssuedAny, issued * n);
+                if machine_busy {
+                    // Slots the front-end failed to fill while the
+                    // back-end could have accepted them.
+                    c.add(Event::IdqUopsNotDeliveredCore, (issue_width - issued) * n);
+                    if issued <= 1 {
+                        c.add(Event::IdqUopsNotDeliveredCyclesLe1, n);
+                    }
+                    if issued <= 2 {
+                        c.add(Event::IdqUopsNotDeliveredCyclesLe2, n);
+                    }
+                    if issued <= 3 {
+                        c.add(Event::IdqUopsNotDeliveredCyclesLe3, n);
+                    }
+                }
+            }
+        }
+    }
+
+    fn fetch_stalled(&self, now: u64) -> bool {
+        now < self.fetch_stall_until.max(self.redirect_until)
+    }
+
+    /// Whether fetch at `now` would deliver nothing and change no state
+    /// but the bubble length: it is stalled, or the IDQ has no room for
+    /// the pending instruction (which misses no I-cache line and starts
+    /// no microcode switch). A fetch that would pull from the stream is
+    /// never idle.
+    fn fetch_idle(&self, now: u64) -> bool {
+        if self.fetch_stalled(now) {
+            return true;
+        }
+        let Some(instr) = self.pending_fetch else {
+            return false;
+        };
+        let ms_switch =
+            instr.decode == DecodeSource::Ms && self.last_source != Some(DecodeSource::Ms);
+        !instr.icache_miss
+            && !ms_switch
+            && self.idq_uops + u64::from(instr.uops) > self.cfg.frontend.idq_capacity
     }
 
     /// Fetches/decodes instructions into the IDQ.
@@ -665,7 +906,7 @@ impl Core {
         I: Iterator<Item = Instr>,
     {
         let fe = self.cfg.frontend;
-        let stalled = now < self.fetch_stall_until || now < self.redirect_until;
+        let stalled = self.fetch_stalled(now);
         let mut delivered_uops = 0u64;
         let mut dsb_uops = 0u64;
         let mut mite_uops = 0u64;
@@ -800,7 +1041,8 @@ impl Core {
         }
     }
 
-    /// Per-cycle activity counters derived from the stage results.
+    /// Per-cycle activity counters derived from the stage results, added
+    /// for each of `n` cycles with the same results.
     #[allow(clippy::too_many_arguments)]
     fn count_cycle_activity(
         &mut self,
@@ -810,6 +1052,7 @@ impl Core {
         executed_uops: u64,
         ports_used: usize,
         issued_uops: u64,
+        n: u64,
     ) {
         if !machine_busy {
             return;
@@ -819,53 +1062,53 @@ impl Core {
         let c = &mut self.counters;
 
         if retired_uops == 0 {
-            c.incr(Event::UopsRetiredStallCycles);
+            c.add(Event::UopsRetiredStallCycles, n);
         }
         if issued_uops == 0 {
-            c.incr(Event::UopsIssuedStallCycles);
+            c.add(Event::UopsIssuedStallCycles, n);
         }
         let sb_full = self.store_buffer.len() >= self.cfg.memory.store_buffer;
         if sb_full {
-            c.incr(Event::ResourceStallsSb);
+            c.add(Event::ResourceStallsSb, n);
         }
         if executed_uops == 0 {
-            c.incr(Event::UopsExecutedStallCycles);
+            c.add(Event::UopsExecutedStallCycles, n);
             if sb_full && !self.rob.is_empty() {
-                c.incr(Event::ExeActivityBoundOnStores);
+                c.add(Event::ExeActivityBoundOnStores, n);
             }
             if !self.rob.is_empty() {
-                c.incr(Event::CycleActivityStallsTotal);
+                c.add(Event::CycleActivityStallsTotal, n);
                 // Intel semantics: STALLS_MEM_ANY requires an outstanding
                 // demand-load *miss*; stalls behind L1-hit latency are
                 // execution (core) stalls.
                 if miss_outstanding {
-                    c.incr(Event::CycleActivityStallsMemAny);
-                    c.incr(Event::CycleActivityStallsL1dMiss);
+                    c.add(Event::CycleActivityStallsMemAny, n);
+                    c.add(Event::CycleActivityStallsL1dMiss, n);
                 } else {
-                    c.incr(Event::ExeActivityExeBound0Ports);
+                    c.add(Event::ExeActivityExeBound0Ports, n);
                 }
             }
         } else {
-            c.incr(Event::UopsExecutedCoreCyclesGe1);
-            c.incr(Event::UopsExecutedCyclesGe1UopExec);
+            c.add(Event::UopsExecutedCoreCyclesGe1, n);
+            c.add(Event::UopsExecutedCyclesGe1UopExec, n);
         }
         match ports_used {
-            1 => c.incr(Event::ExeActivity1PortsUtil),
-            2 => c.incr(Event::ExeActivity2PortsUtil),
+            1 => c.add(Event::ExeActivity1PortsUtil, n),
+            2 => c.add(Event::ExeActivity2PortsUtil, n),
             _ => {}
         }
         if mem_inflight {
-            c.incr(Event::CycleActivityCyclesMemAny);
+            c.add(Event::CycleActivityCyclesMemAny, n);
         }
         if miss_outstanding {
-            c.incr(Event::CycleActivityCyclesL1dMiss);
+            c.add(Event::CycleActivityCyclesL1dMiss, n);
             c.add(
                 Event::L1dPendMissPendingCycles,
-                self.outstanding_misses.len() as u64,
+                self.outstanding_misses.len() as u64 * n,
             );
         }
         if self.divider_busy_until > now {
-            c.incr(Event::ArithDividerActive);
+            c.add(Event::ArithDividerActive, n);
         }
     }
 }
