@@ -1,9 +1,9 @@
-//! Dataset I/O benchmark: JSON parse vs binary column-file load vs
-//! zero-copy mmap open, plus scalar vs vectorized roofline estimation,
-//! at paper scale (424 metrics, ~1.3M samples).
+//! Dataset I/O benchmark: JSON parse vs binary column-file load, plus
+//! scalar vs vectorized roofline estimation, at paper scale (424
+//! metrics, ~1.3M samples).
 //!
 //! Builds one synthetic dataset, writes it in both formats, and times
-//! the three load paths (median of three warm runs each). The decoded
+//! the two load paths (median of three warm runs each). The decoded
 //! datasets must be bit-identical to the source; the vectorized
 //! `estimate_soa` pass must be bit-identical to the scalar per-sample
 //! loop. Full runs write `BENCH_dataset.json` at the workspace root and
@@ -16,7 +16,6 @@
 
 use std::time::Instant;
 
-use spire_core::colfile;
 use spire_core::{FitOptions, MetricColumn, MetricId, PiecewiseRoofline, SampleSet};
 use spire_counters::Dataset;
 
@@ -34,10 +33,7 @@ struct IoCase {
     binary_bytes: usize,
     json_load_ms: f64,
     binary_load_ms: f64,
-    mmap_open_ms: f64,
-    mmap_verify_ms: f64,
     load_speedup: f64,
-    mmap_speedup: f64,
     scalar_estimate_ms: f64,
     soa_estimate_ms: f64,
     estimate_speedup: f64,
@@ -182,31 +178,17 @@ fn main() {
     let binary_bytes = std::fs::metadata(&bin_path).expect("binary size").len() as usize;
     println!("json {json_bytes} bytes, binary {binary_bytes} bytes");
 
-    // The JSON parse at paper scale runs for minutes, so full mode times
-    // it once; it is the slow side of a 10x-plus ratio, where run-to-run
-    // noise cannot change the verdict.
+    // Full mode times the JSON parse once: it is the slow side of a
+    // 10x-plus ratio, where run-to-run noise cannot change the verdict.
     let json_runs = if quick { 3 } else { 1 };
     let (json_load_ms, from_json) =
         median_ms_n(json_runs, || Dataset::load(&json_path).expect("json load"));
     let (binary_load_ms, from_bin) = median_ms(|| Dataset::load(&bin_path).expect("binary load"));
-    let (mmap_open_ms, mapped) =
-        median_ms(|| colfile::mmap::MappedColFile::open(&bin_path).expect("mmap open"));
-    let (mmap_verify_ms, verify) = median_ms(|| {
-        colfile::mmap::MappedColFile::open(&bin_path)
-            .expect("mmap open")
-            .verify()
-    });
-    assert!(verify.is_clean(), "pristine file failed verification");
-    drop(mapped);
 
     let loads_bit_identical =
         bit_identical(&dataset, &from_json) && bit_identical(&dataset, &from_bin);
     let load_speedup = json_load_ms / binary_load_ms;
-    let mmap_speedup = json_load_ms / mmap_open_ms;
-    println!(
-        "load: json {json_load_ms:.1} ms, binary {binary_load_ms:.1} ms ({load_speedup:.1}x), \
-         mmap open {mmap_open_ms:.3} ms ({mmap_speedup:.0}x), verify {mmap_verify_ms:.1} ms"
-    );
+    println!("load: json {json_load_ms:.1} ms, binary {binary_load_ms:.1} ms ({load_speedup:.1}x)");
 
     // Scalar vs vectorized estimation over every intensity in the
     // corpus, against one representative fitted roofline.
@@ -271,10 +253,7 @@ fn main() {
                 binary_bytes,
                 json_load_ms,
                 binary_load_ms,
-                mmap_open_ms,
-                mmap_verify_ms,
                 load_speedup,
-                mmap_speedup,
                 scalar_estimate_ms,
                 soa_estimate_ms,
                 estimate_speedup,

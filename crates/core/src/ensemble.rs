@@ -626,48 +626,18 @@ impl SpireModel {
     /// [`SpireError::NoCommonMetrics`] if no workload sample belongs to
     /// a trained metric, and [`SpireError::DegenerateWeights`] if a
     /// metric's merge weights sum to zero or NaN (possible only for
-    /// workload data that bypassed [`Sample::new`] validation, e.g. via
-    /// deserialization).
+    /// workload data that bypassed [`Sample::new`](crate::Sample::new)
+    /// validation, e.g. via deserialization).
     pub fn estimate(&self, workload: &SampleSet) -> Result<Estimate> {
-        if workload.is_empty() {
-            return Err(SpireError::EmptyWorkload);
-        }
-        // Workload metrics the model was not trained on are skipped here;
-        // trained metrics absent from the workload simply produce no job.
-        let jobs: Vec<(&MetricColumn, &PiecewiseRoofline)> = workload
-            .by_metric()
-            .filter_map(|(metric, column)| self.rooflines.get(metric).map(|r| (column, r)))
-            .collect();
-        if jobs.is_empty() {
-            return Err(SpireError::NoCommonMetrics);
-        }
-        let merge = self.config.merge;
-        let merged = parallel::map(&jobs, self.config.threads, |(column, roofline)| {
-            merge_column(column, roofline, merge)
-        });
-        let mut per_metric = BTreeMap::new();
-        for ((column, _), result) in jobs.iter().zip(merged) {
-            per_metric.insert(column.metric().clone(), result?);
-        }
-        let throughput = match self.config.aggregation {
-            EnsembleAggregation::Min => per_metric
-                .values()
-                .map(|e| e.merged)
-                .fold(f64::INFINITY, f64::min),
-            EnsembleAggregation::Mean => {
-                per_metric.values().map(|e| e.merged).sum::<f64>() / per_metric.len() as f64
-            }
-        };
-        Ok(Estimate {
-            per_metric,
-            throughput,
-            aggregation: self.config.aggregation,
-        })
+        self.estimate_batch(std::slice::from_ref(&workload))
+            .pop()
+            .expect("one result per workload")
     }
 
     /// Estimates many workloads in one coalesced pass, returning one
-    /// result per workload **in input order**, each bit-identical to
-    /// calling [`estimate`](SpireModel::estimate) on that workload alone.
+    /// result per workload **in input order**, each equal to calling
+    /// [`estimate`](SpireModel::estimate) on that workload alone (which is
+    /// this function on a batch of one).
     ///
     /// This is the serving hot path: concurrently-arriving requests for
     /// the same model are merged into larger columns. All requests'
@@ -675,97 +645,91 @@ impl SpireModel {
     /// through one [`PiecewiseRoofline::estimate_soa`] pass — hoisting the
     /// shape dispatch and boundary loads once per metric per batch rather
     /// than once per metric per request — then split back by range.
-    /// `estimate_soa` is elementwise, so the split segments match
-    /// per-request passes bit-for-bit, and the per-column merge
-    /// accumulation is literally the same loop (`merge_estimates`) the
-    /// single-workload path runs.
+    /// `estimate_soa` is elementwise and each workload's Eq. 1 merge runs
+    /// sequentially over its own segment, so batching never changes a bit.
     ///
     /// Per-workload errors ([`SpireError::EmptyWorkload`],
     /// [`SpireError::NoCommonMetrics`], [`SpireError::DegenerateWeights`])
-    /// land in that workload's slot with the same precedence as
-    /// `estimate` (first failing metric in column order) and never affect
-    /// neighboring workloads in the batch.
+    /// land in that workload's slot — for `DegenerateWeights`, the first
+    /// failing metric in column order — and never affect neighboring
+    /// workloads in the batch.
     pub fn estimate_batch(&self, workloads: &[&SampleSet]) -> Vec<Result<Estimate>> {
-        // Classify each workload up front and group its routed columns by
-        // metric across the whole batch.
-        let mut results: Vec<Option<Result<Estimate>>> = Vec::with_capacity(workloads.len());
-        let mut metric_order: Vec<Vec<&MetricId>> = Vec::with_capacity(workloads.len());
-        let mut groups: BTreeMap<&MetricId, Vec<(usize, &MetricColumn)>> = BTreeMap::new();
-        for (wi, workload) in workloads.iter().enumerate() {
-            if workload.is_empty() {
-                results.push(Some(Err(SpireError::EmptyWorkload)));
-                metric_order.push(Vec::new());
-                continue;
-            }
-            let mut order = Vec::new();
-            for (metric, column) in workload.by_metric() {
-                if let Some((metric, _)) = self.rooflines.get_key_value(metric) {
-                    groups.entry(metric).or_default().push((wi, column));
-                    order.push(metric);
+        // Route every workload column that has a trained roofline, then
+        // order the routes by metric. The sort is stable, so within one
+        // metric the workloads stay in input order, and each run of one
+        // metric becomes one parallel work item.
+        let mut routes: Vec<Route> = Vec::new();
+        for (workload, set) in workloads.iter().enumerate() {
+            for (metric, column) in set.by_metric() {
+                if let Some((metric, roofline)) = self.rooflines.get_key_value(metric) {
+                    routes.push(Route {
+                        workload,
+                        metric,
+                        roofline,
+                        column,
+                    });
                 }
             }
-            results.push(if order.is_empty() {
-                Some(Err(SpireError::NoCommonMetrics))
-            } else {
-                None
-            });
-            metric_order.push(order);
         }
+        routes.sort_by(|a, b| a.metric.cmp(b.metric));
+        let groups: Vec<&[Route]> = routes
+            .chunk_by(|a, b| std::ptr::eq(a.metric, b.metric))
+            .collect();
 
         let merge = self.config.merge;
-        /// One parallel work item: a metric, its roofline, and every
-        /// (workload index, column) pair that needs it.
-        type MetricGroup<'a> = (
-            &'a MetricId,
-            &'a PiecewiseRoofline,
-            Vec<(usize, &'a MetricColumn)>,
-        );
-        let group_list: Vec<MetricGroup> = groups
-            .into_iter()
-            .map(|(metric, cols)| (metric, &self.rooflines[metric], cols))
-            .collect();
-        let merged: Vec<Vec<(usize, Result<MetricEstimate>)>> =
-            parallel::map(&group_list, self.config.threads, |(_, roofline, cols)| {
-                let total = cols.iter().map(|(_, c)| c.len()).sum();
+        let merged = parallel::map(&groups, self.config.threads, |group| {
+            let roofline = group[0].roofline;
+            let mut estimates = Vec::new();
+            if let [only] = group {
+                roofline.estimate_soa(only.column.intensities(), &mut estimates);
+            } else {
+                let total = group.iter().map(|r| r.column.len()).sum();
                 let mut concatenated = Vec::with_capacity(total);
-                for (_, column) in cols {
-                    concatenated.extend_from_slice(column.intensities());
+                for route in *group {
+                    concatenated.extend_from_slice(route.column.intensities());
                 }
-                let mut estimates = Vec::new();
                 roofline.estimate_soa(&concatenated, &mut estimates);
-                let mut out = Vec::with_capacity(cols.len());
-                let mut offset = 0;
-                for (wi, column) in cols {
-                    let segment = &estimates[offset..offset + column.len()];
-                    offset += column.len();
-                    out.push((*wi, merge_estimates(segment, column, merge)));
-                }
-                out
+            }
+            let mut offset = 0;
+            let mut results = group.iter().map(|route| {
+                let segment = &estimates[offset..offset + route.column.len()];
+                offset += route.column.len();
+                merge_estimates(segment, route.column, merge)
             });
+            // The first result rides inline: in a single-workload estimate
+            // every group has one route, and the rest then collects into an
+            // empty Vec, which does not allocate.
+            let first = results.next().expect("groups are non-empty");
+            (first, results.collect::<Vec<_>>())
+        });
 
-        // Scatter metric results back to their workloads, then assemble
-        // each Estimate with the same error precedence and aggregation
-        // fold as the single-workload path.
-        let mut per_workload: Vec<BTreeMap<&MetricId, Result<MetricEstimate>>> =
-            workloads.iter().map(|_| BTreeMap::new()).collect();
-        for ((metric, _, _), outs) in group_list.iter().zip(merged) {
-            for (wi, result) in outs {
-                per_workload[wi].insert(*metric, result);
+        // The merged results line up with `routes`, which run in metric
+        // order, so each workload meets its metrics in column order and
+        // keeps the first error it meets.
+        let mut per_workload: Vec<Result<Vec<(MetricId, MetricEstimate)>>> =
+            workloads.iter().map(|_| Ok(Vec::new())).collect();
+        let results = merged
+            .into_iter()
+            .flat_map(|(first, rest)| std::iter::once(first).chain(rest));
+        for (route, result) in routes.iter().zip(results) {
+            let slot = &mut per_workload[route.workload];
+            if let Ok(done) = slot {
+                match result {
+                    Ok(estimate) => done.push((route.metric.clone(), estimate)),
+                    Err(e) => *slot = Err(e),
+                }
             }
         }
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(wi, pre)| {
-                if let Some(decided) = pre {
-                    return decided;
+        workloads
+            .iter()
+            .zip(per_workload)
+            .map(|(set, routed)| {
+                if set.is_empty() {
+                    return Err(SpireError::EmptyWorkload);
                 }
-                let mut per_metric = BTreeMap::new();
-                for metric in &metric_order[wi] {
-                    let result = per_workload[wi]
-                        .remove(*metric)
-                        .expect("every routed metric was merged");
-                    per_metric.insert((*metric).clone(), result?);
+                let per_metric: BTreeMap<MetricId, MetricEstimate> = routed?.into_iter().collect();
+                if per_metric.is_empty() {
+                    return Err(SpireError::NoCommonMetrics);
                 }
                 let throughput = match self.config.aggregation {
                     EnsembleAggregation::Min => per_metric
@@ -820,25 +784,16 @@ impl SpireModel {
     }
 }
 
-/// Merges one workload column through its roofline (paper Eq. 1), reading
-/// the intensity and time columns as contiguous slices.
-fn merge_column(
-    column: &MetricColumn,
-    roofline: &PiecewiseRoofline,
-    merge: MergeStrategy,
-) -> Result<MetricEstimate> {
-    // Estimate the whole column through the batch SoA kernel (bit-identical
-    // to per-sample `estimate`, minus the per-sample shape dispatch), then
-    // accumulate in the same sample order as before.
-    let estimates = roofline.estimate_column(column);
-    merge_estimates(&estimates, column, merge)
+/// One workload column routed to its metric's roofline.
+struct Route<'a> {
+    workload: usize,
+    metric: &'a MetricId,
+    roofline: &'a PiecewiseRoofline,
+    column: &'a MetricColumn,
 }
 
-/// The accumulation half of [`merge_column`]: merges pre-computed
-/// per-sample estimates for one column. Shared with the coalesced
-/// [`SpireModel::estimate_batch`] path, where the estimates arrive as a
-/// slice of a larger concatenated column — sharing the accumulation loop
-/// is what makes the two paths bit-identical by construction.
+/// Merges pre-computed per-sample estimates for one workload column
+/// (paper Eq. 1), in sample order.
 fn merge_estimates(
     estimates: &[f64],
     column: &MetricColumn,
@@ -1025,12 +980,123 @@ mod tests {
         ));
     }
 
+    /// Test-local oracle for [`SpireModel::estimate`]: the scalar
+    /// [`PiecewiseRoofline::estimate`] per sample, a sequential Eq. 1
+    /// merge per metric, then the aggregation — no batch kernel, routing
+    /// or fan-out.
+    fn oracle(model: &SpireModel, workload: &SampleSet) -> Result<Estimate> {
+        if workload.is_empty() {
+            return Err(SpireError::EmptyWorkload);
+        }
+        let mut per_metric = BTreeMap::new();
+        for (metric, column) in workload.by_metric() {
+            let Some(roofline) = model.roofline(metric) else {
+                continue;
+            };
+            let (mut weighted_sum, mut weight_total, mut total_time) = (0.0, 0.0, 0.0);
+            let (mut min_e, mut max_e) = (f64::INFINITY, f64::NEG_INFINITY);
+            for (&intensity, &time) in column.intensities().iter().zip(column.times()) {
+                let e = roofline.estimate(intensity);
+                let weight = match model.config().merge {
+                    MergeStrategy::TimeWeighted => time,
+                    MergeStrategy::Unweighted => 1.0,
+                };
+                weighted_sum += weight * e;
+                weight_total += weight;
+                min_e = min_e.min(e);
+                max_e = max_e.max(e);
+                total_time += time;
+            }
+            if !(weight_total > 0.0 && total_time > 0.0) {
+                return Err(SpireError::DegenerateWeights {
+                    metric: metric.to_string(),
+                });
+            }
+            per_metric.insert(
+                metric.clone(),
+                MetricEstimate {
+                    merged: weighted_sum / weight_total,
+                    sample_count: column.len(),
+                    total_time,
+                    min_sample_estimate: min_e,
+                    max_sample_estimate: max_e,
+                },
+            );
+        }
+        if per_metric.is_empty() {
+            return Err(SpireError::NoCommonMetrics);
+        }
+        let merged = per_metric.values().map(|e| e.merged);
+        let throughput = match model.config().aggregation {
+            EnsembleAggregation::Min => merged.fold(f64::INFINITY, f64::min),
+            EnsembleAggregation::Mean => merged.sum::<f64>() / per_metric.len() as f64,
+        };
+        Ok(Estimate {
+            per_metric,
+            throughput,
+            aggregation: model.config().aggregation,
+        })
+    }
+
+    fn assert_bit_identical(got: &Result<Estimate>, want: &Result<Estimate>, context: &str) {
+        match (got, want) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(
+                    got.throughput().to_bits(),
+                    want.throughput().to_bits(),
+                    "{context}"
+                );
+                assert_eq!(got.aggregation(), want.aggregation(), "{context}");
+                let bits = |e: &Estimate| -> Vec<_> {
+                    e.per_metric()
+                        .iter()
+                        .map(|(m, e)| {
+                            (
+                                m.clone(),
+                                e.sample_count,
+                                [
+                                    e.merged,
+                                    e.total_time,
+                                    e.min_sample_estimate,
+                                    e.max_sample_estimate,
+                                ]
+                                .map(f64::to_bits),
+                            )
+                        })
+                        .collect()
+                };
+                assert_eq!(bits(got), bits(want), "{context}");
+            }
+            (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string(), "{context}"),
+            _ => panic!("{context}: got {got:?}, oracle says {want:?}"),
+        }
+    }
+
+    /// A deterministic workload of `rows` samples per metric, long enough
+    /// to span several 64-lane kernel chunks.
+    fn synthetic_workload(seed: u64, metrics: &[&str], rows: usize) -> SampleSet {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut set = SampleSet::new();
+        for metric in metrics {
+            for _ in 0..rows {
+                let delta = if next() < 0.1 { 0.0 } else { 40.0 * next() };
+                set.push(s(metric, 0.5 + 20.0 * next(), 60.0 * next(), delta));
+            }
+        }
+        set
+    }
+
     #[test]
-    fn estimate_batch_is_bit_identical_to_per_workload_estimate() {
-        let model = SpireModel::train(&training(), TrainConfig::default()).unwrap();
+    fn estimate_batch_is_bit_identical_to_scalar_oracle() {
         // A mixed batch: overlapping metrics (so columns coalesce), an
-        // empty workload, and a no-common-metrics workload interleaved
-        // with valid ones.
+        // empty workload, a no-common-metrics workload and a
+        // degenerate-weights workload interleaved with valid ones.
         let mut w1 = SampleSet::new();
         w1.push(s("stalls", 10.0, 20.0, 5.0));
         w1.push(s("hits", 10.0, 20.0, 20.0));
@@ -1040,27 +1106,52 @@ mod tests {
         let empty = SampleSet::new();
         let mut foreign = SampleSet::new();
         foreign.push(s("untrained", 10.0, 20.0, 5.0));
+        let mut degenerate = SampleSet::new();
+        degenerate.push(s("hits", 10.0, 20.0, 5.0));
+        degenerate.push_unchecked("stalls".into(), 0.0, 0.0, 1.0);
         let mut w3 = SampleSet::new();
         w3.push(s("hits", 5.0, 40.0, 8.0));
+        let long_a = synthetic_workload(1, &["hits", "stalls", "untrained"], 150);
+        let long_b = synthetic_workload(2, &["stalls"], 70);
 
-        let batch = [&w1, &empty, &w2, &foreign, &w3];
-        for threads in [1usize, 0] {
-            let mut model = model.clone();
-            model.set_threads(threads);
-            let batched = model.estimate_batch(&batch);
-            assert_eq!(batched.len(), batch.len());
-            for (wl, got) in batch.iter().zip(&batched) {
-                match model.estimate(wl) {
-                    Ok(direct) => {
-                        let got = got.as_ref().expect("batch slot should succeed");
-                        assert_eq!(got.throughput().to_bits(), direct.throughput().to_bits());
-                        assert_eq!(got.per_metric(), direct.per_metric());
-                    }
-                    Err(expected) => {
-                        let got = got.as_ref().expect_err("batch slot should fail");
-                        assert_eq!(got.to_string(), expected.to_string());
-                    }
+        let batch = [
+            &w1,
+            &empty,
+            &long_a,
+            &w2,
+            &foreign,
+            &degenerate,
+            &w3,
+            &long_b,
+        ];
+        let merges = [MergeStrategy::TimeWeighted, MergeStrategy::Unweighted];
+        let aggregations = [EnsembleAggregation::Min, EnsembleAggregation::Mean];
+        for (merge, aggregation) in merges
+            .into_iter()
+            .flat_map(|m| aggregations.map(|a| (m, a)))
+        {
+            let config = TrainConfig {
+                merge,
+                aggregation,
+                ..TrainConfig::default()
+            };
+            let mut model = SpireModel::train(&training(), config).unwrap();
+            for threads in [1usize, 0] {
+                model.set_threads(threads);
+                let batched = model.estimate_batch(&batch);
+                assert_eq!(batched.len(), batch.len());
+                for (i, (workload, got)) in batch.iter().zip(&batched).enumerate() {
+                    let want = oracle(&model, workload);
+                    let context = format!("{merge:?}/{aggregation:?}, threads {threads}, slot {i}");
+                    assert_bit_identical(got, &want, &context);
+                    assert_bit_identical(&model.estimate(workload), &want, &context);
                 }
+                assert!(matches!(batched[1], Err(SpireError::EmptyWorkload)));
+                assert!(matches!(batched[4], Err(SpireError::NoCommonMetrics)));
+                assert!(matches!(
+                    batched[5],
+                    Err(SpireError::DegenerateWeights { .. })
+                ));
             }
         }
     }

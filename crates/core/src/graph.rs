@@ -10,10 +10,10 @@
 //! segment graph is a DAG ordered by front index, `roofline::fit_right_front`
 //! solves the same shortest-path problem with a topological dynamic program
 //! and on-the-fly edges, in `O(k² log k)` without materializing adjacency
-//! lists. `DiGraph` remains as a general-purpose utility and as the engine
-//! of the retained reference fit (`roofline::reference`, enabled by tests
-//! and the `reference-fit` feature), which the fast path is proptested
-//! against.
+//! lists. `DiGraph` remains only as the engine of the retained reference
+//! fit (`roofline::reference`), which the fast path is proptested against,
+//! so the module compiles only under tests and the `reference-fit`
+//! feature.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -22,21 +22,6 @@ use std::collections::BinaryHeap;
 pub type NodeId = usize;
 
 /// A weighted directed graph with non-negative edge weights.
-///
-/// ```
-/// use spire_core::graph::DiGraph;
-///
-/// let mut g = DiGraph::new();
-/// let a = g.add_node();
-/// let b = g.add_node();
-/// let c = g.add_node();
-/// g.add_edge(a, b, 1.0);
-/// g.add_edge(b, c, 2.0);
-/// g.add_edge(a, c, 5.0);
-/// let path = g.shortest_path(a, c).expect("path exists");
-/// assert_eq!(path.nodes, vec![a, b, c]);
-/// assert_eq!(path.cost, 3.0);
-/// ```
 #[derive(Debug, Clone, Default)]
 pub struct DiGraph {
     adjacency: Vec<Vec<(NodeId, f64)>>,
@@ -204,6 +189,21 @@ impl DiGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn two_hop_path_beats_direct_edge() {
+        let mut g = DiGraph::new();
+        let a = g.add_node();
+        let b = g.add_node();
+        let c = g.add_node();
+        g.add_edge(a, b, 1.0);
+        g.add_edge(b, c, 2.0);
+        g.add_edge(a, c, 5.0);
+        let path = g.shortest_path(a, c).expect("path exists");
+        assert_eq!(path.nodes, vec![a, b, c]);
+        assert_eq!(path.cost, 3.0);
+    }
 
     fn diamond() -> (DiGraph, NodeId, NodeId, NodeId, NodeId) {
         let mut g = DiGraph::new();
@@ -298,5 +298,63 @@ mod tests {
         let p = g.shortest_path(ids[0], ids[5]).unwrap();
         assert_eq!(p.nodes, ids);
         assert_eq!(p.cost, 5.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Dijkstra agrees with Floyd-Warshall on random small graphs.
+        #[test]
+        fn dijkstra_matches_floyd_warshall(
+            n in 2usize..10,
+            edges in prop::collection::vec((0usize..10, 0usize..10, 0.0f64..10.0), 0..40)
+        ) {
+            let mut g = DiGraph::new();
+            for _ in 0..n {
+                g.add_node();
+            }
+            let mut dist = vec![vec![f64::INFINITY; n]; n];
+            for (i, row) in dist.iter_mut().enumerate() {
+                row[i] = 0.0;
+            }
+            for &(a, b, w) in &edges {
+                let (a, b) = (a % n, b % n);
+                g.add_edge(a, b, w);
+                if w < dist[a][b] {
+                    dist[a][b] = w;
+                }
+            }
+            for k in 0..n {
+                for i in 0..n {
+                    for j in 0..n {
+                        let via = dist[i][k] + dist[k][j];
+                        if via < dist[i][j] {
+                            dist[i][j] = via;
+                        }
+                    }
+                }
+            }
+            #[allow(clippy::needless_range_loop)] // `target` indexes the dist matrix
+            for target in 0..n {
+                match g.shortest_path(0, target) {
+                    Some(path) => {
+                        prop_assert!((path.cost - dist[0][target]).abs() <= 1e-9);
+                        // The reported path must be real: verify its cost.
+                        let mut acc = 0.0;
+                        for w in path.nodes.windows(2) {
+                            let best = g
+                                .edges(w[0])
+                                .iter()
+                                .filter(|(t, _)| *t == w[1])
+                                .map(|(_, c)| *c)
+                                .fold(f64::INFINITY, f64::min);
+                            acc += best;
+                        }
+                        prop_assert!(acc <= dist[0][target] + 1e-9);
+                    }
+                    None => prop_assert!(dist[0][target].is_infinite()),
+                }
+            }
+        }
     }
 }

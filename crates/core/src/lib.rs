@@ -61,11 +61,7 @@
 //! rooflines and a regression baseline) and `spire-plot` (rendering).
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the crate is unsafe-free except for two
-// narrowly scoped, module-level `#[allow]` islands — the mmap view in
-// [`colfile::mmap`] and the explicit-SIMD estimate loops behind the `simd`
-// feature — both of which document their safety obligations inline.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod catalog;
@@ -74,6 +70,8 @@ pub mod ensemble;
 mod error;
 pub mod fault;
 pub mod geometry;
+// The graph only feeds the retained reference right-fitter.
+#[cfg(any(test, feature = "reference-fit"))]
 pub mod graph;
 pub mod machine;
 pub mod online;

@@ -8,11 +8,10 @@
 //! a branch-free pass writes the constant regions and compacts the
 //! interpolating lanes into per-region index lists, whose counts also
 //! reveal pure single-region chunks and send them to tight fill or
-//! interpolation loops the compiler can autovectorize (or, behind the
-//! `simd` feature, explicit SSE2 loops). Degenerate or adversarial
-//! models instead classify each chunk with a min/max sweep and fall
-//! back to the exact per-lane branch chain of the scalar path for
-//! mixed chunks.
+//! interpolation loops the compiler can autovectorize. Degenerate or
+//! adversarial models instead classify each chunk with a min/max sweep
+//! and fall back to the exact per-lane branch chain of the scalar path
+//! for mixed chunks.
 //!
 //! # Bit-identity contract
 //!
@@ -454,50 +453,11 @@ fn segment_index(knots: &[Point], x: f64) -> usize {
 /// One-segment interpolation over a whole chunk — the expression and
 /// operation order of [`geometry::piecewise_eval`]'s last line, with the
 /// knot loads hoisted.
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
 #[inline]
 fn interpolate_segment(a: Point, b: Point, chunk: &[f64], out: &mut Vec<f64>) {
     let dy = b.y - a.y;
     let dx = b.x - a.x;
     for &x in chunk {
         out.push(a.y + (x - a.x) * dy / dx);
-    }
-}
-
-/// Explicit-SIMD form of the segment interpolation: two lanes per SSE2
-/// vector, the same `sub -> mul -> div -> add` sequence as the scalar
-/// expression. SSE2 arithmetic is IEEE-754 exactly rounded per lane, so
-/// the results are bit-identical to the scalar loop (no FMA contraction —
-/// `_mm_div_pd`/`_mm_mul_pd` round like their scalar counterparts).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-#[inline]
-fn interpolate_segment(a: Point, b: Point, chunk: &[f64], out: &mut Vec<f64>) {
-    use std::arch::x86_64::{
-        _mm_add_pd, _mm_div_pd, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd, _mm_storeu_pd, _mm_sub_pd,
-    };
-    let dy = b.y - a.y;
-    let dx = b.x - a.x;
-    let start = out.len();
-    out.resize(start + chunk.len(), 0.0);
-    let dst = &mut out[start..];
-    let pairs = chunk.len() / 2;
-    // SAFETY (for the whole intrinsic block): SSE2 is baseline on
-    // x86_64, loads/stores are unaligned-tolerant (`loadu`/`storeu`),
-    // and every pointer stays inside `chunk`/`dst`, whose lengths match.
-    unsafe {
-        let va_y = _mm_set1_pd(a.y);
-        let va_x = _mm_set1_pd(a.x);
-        let vdy = _mm_set1_pd(dy);
-        let vdx = _mm_set1_pd(dx);
-        for i in 0..pairs {
-            let x = _mm_loadu_pd(chunk.as_ptr().add(2 * i));
-            let t = _mm_div_pd(_mm_mul_pd(_mm_sub_pd(x, va_x), vdy), vdx);
-            _mm_storeu_pd(dst.as_mut_ptr().add(2 * i), _mm_add_pd(va_y, t));
-        }
-    }
-    if chunk.len() % 2 == 1 {
-        let x = chunk[chunk.len() - 1];
-        dst[chunk.len() - 1] = a.y + (x - a.x) * dy / dx;
     }
 }

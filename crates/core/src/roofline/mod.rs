@@ -557,6 +557,10 @@ impl PiecewiseRoofline {
     ///
     /// Non-positive intensities estimate zero throughput: zero work per
     /// metric event can only mean zero work.
+    ///
+    /// This scalar form is the specification: model estimates run through
+    /// [`estimate_soa`](PiecewiseRoofline::estimate_soa), which the tests
+    /// pin bit for bit to this function.
     pub fn estimate(&self, intensity: f64) -> f64 {
         match &self.shape {
             Shape::Constant(h) => *h,
@@ -574,23 +578,16 @@ impl PiecewiseRoofline {
         }
     }
 
-    /// Estimates the maximum attainable throughput for one sample, using
-    /// its intensity.
-    pub fn estimate_sample(&self, sample: &Sample) -> f64 {
-        self.estimate(sample.intensity())
-    }
-
     /// Batch SoA form of [`estimate`](PiecewiseRoofline::estimate): clears
     /// `out` and fills it with the estimate for each intensity, in order.
     ///
     /// This is the estimation hot path, implemented by the chunked
-    /// [`kernel`] module: intensities are processed in fixed-width chunks,
+    /// `kernel` module: intensities are processed in fixed-width chunks,
     /// each chunk is classified into regions with a branchless bitmask,
-    /// and single-region chunks run tight fill or interpolation loops
-    /// (autovectorized, or explicit SSE2 behind the `simd` feature) while
-    /// mixed chunks keep the exact scalar branch chain. Every output is
-    /// bit-identical to calling `estimate` on the same intensity — see the
-    /// kernel module docs for why the fast paths preserve bits.
+    /// and single-region chunks run tight autovectorized fill or
+    /// interpolation loops while mixed chunks keep the exact scalar branch
+    /// chain. Every output is bit-identical to calling `estimate` on the
+    /// same intensity — the fast paths preserve bits by construction.
     pub fn estimate_soa(&self, intensities: &[f64], out: &mut Vec<f64>) {
         self.estimate_soa_chunked(intensities, out, kernel::DEFAULT_WIDTH);
     }
@@ -613,20 +610,6 @@ impl PiecewiseRoofline {
                 kernel::estimate_into(left, right, intensities, out, width);
             }
         }
-    }
-
-    /// Batch estimate over a [`MetricColumn`]'s cached intensity column,
-    /// one output per sample in column order.
-    ///
-    /// Results are bit-identical to mapping
-    /// [`estimate`](PiecewiseRoofline::estimate) over
-    /// [`MetricColumn::intensities`]; see
-    /// [`estimate_soa`](PiecewiseRoofline::estimate_soa) for why the batch
-    /// form is faster.
-    pub fn estimate_column(&self, column: &MetricColumn) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.estimate_soa(column.intensities(), &mut out);
-        out
     }
 
     /// The apex: the highest-throughput training sample the fit split at,
@@ -923,7 +906,7 @@ mod tests {
         ];
         let r = fit(&samples);
         for smp in &samples {
-            let est = r.estimate_sample(smp);
+            let est = r.estimate(smp.intensity());
             assert!(
                 est >= smp.throughput() - 1e-9,
                 "estimate {est} below sample throughput {}",
@@ -1163,7 +1146,7 @@ mod tests {
     }
 
     #[test]
-    fn estimate_column_matches_per_sample_estimate_bitwise() {
+    fn estimate_soa_over_column_intensities_matches_per_sample_estimate() {
         let samples = vec![
             s(10.0, 5.0, 10.0),
             s(10.0, 12.0, 8.0),
@@ -1175,7 +1158,8 @@ mod tests {
         let r = fit(&samples);
         let set: crate::SampleSet = samples.into_iter().collect();
         let col = set.column(&"m".into()).unwrap();
-        let batch = r.estimate_column(col);
+        let mut batch = Vec::new();
+        r.estimate_soa(col.intensities(), &mut batch);
         assert_eq!(batch.len(), col.len());
         for (&x, &got) in col.intensities().iter().zip(&batch) {
             assert_eq!(got.to_bits(), r.estimate(x).to_bits());

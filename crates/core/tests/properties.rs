@@ -6,7 +6,6 @@
 
 use proptest::prelude::*;
 use spire_core::geometry::{pareto_front, piecewise_eval, upper_hull_from_origin, Point};
-use spire_core::graph::DiGraph;
 use spire_core::{
     EnsembleAggregation, FitOptions, MergeStrategy, PiecewiseRoofline, RightFitMode, Sample,
     SampleSet, SpireModel, TrainConfig,
@@ -103,7 +102,7 @@ proptest! {
             let opts = FitOptions { right_fit: mode, ..FitOptions::default() };
             let r = PiecewiseRoofline::fit("m".into(), samples.iter(), &opts).unwrap();
             for s in &samples {
-                let est = r.estimate_sample(s);
+                let est = r.estimate(s.intensity());
                 prop_assert!(
                     est >= s.throughput() - tol(s.throughput()),
                     "mode {mode:?}: estimate {est} below throughput {} at I={}",
@@ -262,60 +261,6 @@ proptest! {
         }
     }
 
-    /// Dijkstra agrees with Floyd-Warshall on random small graphs.
-    #[test]
-    fn dijkstra_matches_floyd_warshall(
-        n in 2usize..10,
-        edges in prop::collection::vec((0usize..10, 0usize..10, 0.0f64..10.0), 0..40)
-    ) {
-        let mut g = DiGraph::new();
-        for _ in 0..n {
-            g.add_node();
-        }
-        let mut dist = vec![vec![f64::INFINITY; n]; n];
-        for (i, row) in dist.iter_mut().enumerate() {
-            row[i] = 0.0;
-        }
-        for &(a, b, w) in &edges {
-            let (a, b) = (a % n, b % n);
-            g.add_edge(a, b, w);
-            if w < dist[a][b] {
-                dist[a][b] = w;
-            }
-        }
-        for k in 0..n {
-            for i in 0..n {
-                for j in 0..n {
-                    let via = dist[i][k] + dist[k][j];
-                    if via < dist[i][j] {
-                        dist[i][j] = via;
-                    }
-                }
-            }
-        }
-        #[allow(clippy::needless_range_loop)] // `target` indexes the dist matrix
-        for target in 0..n {
-            match g.shortest_path(0, target) {
-                Some(path) => {
-                    prop_assert!((path.cost - dist[0][target]).abs() <= 1e-9);
-                    // The reported path must be real: verify its cost.
-                    let mut acc = 0.0;
-                    for w in path.nodes.windows(2) {
-                        let best = g
-                            .edges(w[0])
-                            .iter()
-                            .filter(|(t, _)| *t == w[1])
-                            .map(|(_, c)| *c)
-                            .fold(f64::INFINITY, f64::min);
-                        acc += best;
-                    }
-                    prop_assert!(acc <= dist[0][target] + 1e-9);
-                }
-                None => prop_assert!(dist[0][target].is_infinite()),
-            }
-        }
-    }
-
     /// Model serialization round-trips estimates exactly.
     #[test]
     fn serde_round_trip_is_exact(train in samples("m", 32), probe in 0.0f64..200.0) {
@@ -382,7 +327,7 @@ proptest! {
         prop_assert_eq!(a.per_metric(), b.per_metric());
     }
 
-    /// The batch SoA estimate kernel ([`PiecewiseRoofline::estimate_column`])
+    /// The batch SoA estimate kernel ([`PiecewiseRoofline::estimate_soa`])
     /// is bit-identical to the scalar per-sample path, for models trained
     /// at every thread count (serial and parallel training must agree on
     /// the fit, and both estimate paths must agree on every sample).
@@ -398,7 +343,8 @@ proptest! {
         let model = SpireModel::train(&train_set, cfg).unwrap();
         for (metric, column) in probe_set.by_metric() {
             let Some(roofline) = model.roofline(metric) else { continue };
-            let batch = roofline.estimate_column(column);
+            let mut batch = Vec::new();
+            roofline.estimate_soa(column.intensities(), &mut batch);
             prop_assert_eq!(batch.len(), column.len());
             for (est, &intensity) in batch.iter().zip(column.intensities()) {
                 let scalar = roofline.estimate(intensity);
